@@ -270,6 +270,32 @@ pub(crate) fn conditioned_head(
     (completion, robustness, skewness)
 }
 
+/// True when [`conditioned_head`] at `now` returns exactly what it
+/// returned at `then` — the scorer's test for keeping a chain across a
+/// clock advance. The residual PET lives in absolute time: impulse `t` of
+/// the cell lands at `t − elapsed + now = t − progress_before +
+/// started_at`, whatever `now` is, so the head only changes when
+/// `elapsed` crosses a PET impulse. Two binary searches decide that,
+/// without recomputing the residual. The overrun case (all mass at or
+/// below `elapsed`) collapses to `delta(1 + now)`, which moves with the
+/// clock, so it never survives; neither does a clock before the task's
+/// start, where `elapsed` saturates.
+pub(crate) fn head_survives_clock(
+    exec: &hcsim_sim::ExecutingTask,
+    pet: &PetMatrix,
+    machine: hcsim_model::MachineId,
+    then: Time,
+    now: Time,
+) -> bool {
+    if then < exec.started_at || now < exec.started_at {
+        return false;
+    }
+    let times = pet.pmf(exec.task.type_id, machine).times();
+    let split = |at: Time| times.partition_point(|&x| x <= exec.elapsed_at(at));
+    let before = split(then);
+    before < times.len() && before == split(now)
+}
+
 /// Chains one pending entry behind `avail`: the policy-aware
 /// [`queue_step_into`] with the availability compacted to `budget`, plus
 /// the completion's Eq. 6 bounded skewness (0 when the task can never

@@ -41,9 +41,9 @@ pub struct MocConfig {
     /// Fan-out engine (same resolution and guarantees as
     /// [`crate::PruningConfig::backend`]).
     pub backend: FanoutBackend,
-    /// Same-tick score-table reuse across burst mapping events (same
-    /// semantics as [`crate::PruningConfig::table_reuse`]; MOC's culling
-    /// threshold is static, so no invalidation path is needed).
+    /// Score-table reuse across mapping events (same semantics as
+    /// [`crate::PruningConfig::table_reuse`]; MOC's culling threshold is
+    /// static, so no invalidation path is needed).
     pub table_reuse: bool,
 }
 
@@ -154,7 +154,7 @@ impl Mapper for Moc {
                 break;
             }
             if !table_fresh {
-                // Same-tick burst reuse, mirroring PAM's (MOC's culling
+                // Cross-event table reuse, mirroring PAM's (MOC's culling
                 // threshold never moves, so no invalidation is needed).
                 if self.config.table_reuse {
                     table.ensure(&mut scorer, ctx.machines(), &ctx.batch()[..window], &skip_below);

@@ -223,9 +223,10 @@ impl Mapper for Pam {
                 break;
             }
             if !table_fresh {
-                // Same-tick burst reuse: a second mapping event at the same
-                // instant (and membership epoch) revalidates the previous
-                // event's table — rescoring only version-changed machines —
+                // Cross-event table reuse: a later mapping event under the
+                // same membership epoch — at the same instant or after the
+                // clock moved — revalidates the previous event's table,
+                // rescoring only machines whose version or chain moved,
                 // instead of rebuilding from scratch.
                 if self.config.table_reuse {
                     if table.ensure(
@@ -298,7 +299,7 @@ impl Mapper for Pam {
     fn on_task_finished(&mut self, task: &Task, outcome: TaskOutcome) {
         if let Some(a) = &mut self.adaptive {
             // Threshold drift moves the skip thresholds between events;
-            // same-tick reuse only rechecks bounds that a *machine* change
+            // table reuse only rechecks bounds that a *machine* change
             // loosened, so a window-boundary adjustment forces a rebuild.
             if a.observe(task.type_id, outcome) {
                 self.table.invalidate();

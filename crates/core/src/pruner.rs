@@ -81,12 +81,13 @@ pub struct PruningConfig {
     /// `threads`, a pure performance knob: scoped and pooled execution
     /// produce byte-identical reports.
     pub backend: FanoutBackend,
-    /// Reuse the score table across mapping events fired at the same
-    /// simulated instant (burst arrivals): only version-changed machines
-    /// are rescored and the window diff is applied incrementally, instead
-    /// of rebuilding from scratch per event. Decision-identical by
-    /// construction (see [`crate::scorer::ScoreTable::ensure`]) — another
-    /// pure performance knob, on by default.
+    /// Reuse the score table across mapping events — burst arrivals at
+    /// the same simulated instant and later ticks alike: only machines
+    /// whose version or availability chain moved are rescored and the
+    /// window diff is applied incrementally, instead of rebuilding from
+    /// scratch per event. Decision-identical by construction (see
+    /// [`crate::scorer::ScoreTable::ensure`]) — another pure performance
+    /// knob, on by default.
     pub table_reuse: bool,
     /// Close the threshold loop online: when set, PAM drives its dropping
     /// and deferring thresholds through an

@@ -24,16 +24,27 @@
 //! [`MachineCache`] holds two layers:
 //!
 //! 1. a **conditioned head** — the executing task's residual-execution
-//!    availability, which depends on `now` and is therefore recomputed
-//!    whenever the event time moves;
+//!    availability (or `delta(now)` on an idle machine). The residual
+//!    lives in absolute time, so it only changes when the task's elapsed
+//!    time crosses a PET impulse: a clock advance inside one impulse gap
+//!    keeps the head, and with it the whole chain, bit for bit. Two binary
+//!    searches decide that (`chain::head_survives_clock`). An idle head,
+//!    an overrun head (all PET mass at or below `elapsed`), or a crossed
+//!    impulse is recomputed at the new `now`;
 //! 2. a **pending chain** — one availability PMF per pending queue entry,
 //!    chained by [`hcsim_pmf::queue_step_into`]. On a queue mutation the
 //!    cache matches the *longest common prefix* of the cached entry
 //!    signatures `(task id, progress)` against the live queue and
 //!    reconvolves only the suffix: appending a task (the mapper's
 //!    assignment loop) costs one `queue_step`; dropping a mid-queue task
-//!    (the pruner) reuses everything ahead of it. Eviction, preemption, or
-//!    a new event time fall back to a full rebuild.
+//!    (the pruner) reuses everything ahead of it. Eviction, preemption, a
+//!    warm-set change, or a head that moved with the clock fall back to a
+//!    full rebuild.
+//!
+//! Each cell also carries a **chain revision** that changes exactly when
+//! its head or a link was rebuilt with a different result. [`ScoreTable`]
+//! keys its columns on it, which is what lets a table survive a clock
+//! advance: a column whose chain kept its revision needs no rescoring.
 //!
 //! Because the incremental path replays exactly the operations a
 //! from-scratch [`analyze_queue`] would perform — in the same order, with
@@ -82,6 +93,7 @@ use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, TaskId, TaskTypeId, Ti
 use hcsim_parallel::{parallel_for_each_mut, FanoutBackend, WorkerPool};
 use hcsim_pmf::{queue_step_into, ConvScratch, DropPolicy, Pmf};
 use hcsim_sim::MachineState;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Minimum number of active per-machine jobs before a fan-out actually
@@ -192,8 +204,16 @@ struct TailCache {
     /// whole chain — this separate key forces the rebuild. Constant 0 in
     /// the classic model, so the check never fires there.
     warm_rev: u64,
-    /// Event time the conditioned head was computed at.
+    /// Event time the cache was last brought up to date at. The head may
+    /// have been computed at an earlier tick and carried forward, which
+    /// is exact because the carry only happens while the head survives
+    /// the clock (see module docs).
     now: Time,
+    /// Chain revision: a fresh [`next_chain_rev`] value whenever the head
+    /// or a link changes, untouched when `ensure` keeps or reproduces the
+    /// chain bit for bit. [`ScoreTable`] compares it to decide whether a
+    /// column must be rescored.
+    rev: u64,
     /// Executing-task identity: `(id, started_at, progress_before)`.
     /// Together with `now` this fully determines the conditioned head.
     exec_sig: Option<(TaskId, Time, Time)>,
@@ -220,6 +240,17 @@ impl TailCache {
     fn tail(&self) -> &Pmf {
         self.links.last().or(self.head.as_ref()).expect("cache built before query")
     }
+}
+
+/// Issues chain revisions ([`TailCache::rev`]). One process-wide counter,
+/// so a revision names a single chain build across every cell and scorer:
+/// a cell that starts over (released, or re-created after an abandoned
+/// pool) can never reissue a revision a [`ScoreTable`] recorded earlier.
+/// Revisions are only ever compared for equality, so the values a
+/// parallel fan-out draws never influence a result.
+fn next_chain_rev() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The scorer state shared *read-only* across every machine cell during a
@@ -368,20 +399,42 @@ impl MachineCache {
             return;
         }
 
-        let exec_sig = machine.executing().map(|e| (e.task.id, e.started_at, e.progress_before));
-        let head_reusable = cache.valid
-            && cache.now == now
+        let executing = machine.executing();
+        let exec_sig = executing.map(|e| (e.task.id, e.started_at, e.progress_before));
+        // The cached head is still exact when the executing task and the
+        // warm set are unchanged and the clock either stood still or moved
+        // without the head noticing (an idle head is `delta(now)`, so it
+        // always notices).
+        let head_same = cache.valid
             && cache.exec_sig == exec_sig
             && cache.warm_rev == machine.warm_rev()
-            && (!want_stats || cache.stats_valid);
-        if head_reusable {
-            // Layer 2 prefix reuse: keep every chain link up to the first
-            // divergence between the cached and live pending queues.
-            let lcp = machine
+            && (cache.now == now
+                || executing.is_some_and(|e| {
+                    crate::chain::head_survives_clock(
+                        e,
+                        pets.for_exec(e),
+                        machine.id(),
+                        cache.now,
+                        now,
+                    )
+                }));
+        let lcp = if head_same {
+            machine
                 .pending_entries()
                 .zip(cache.pending_sig.iter())
                 .take_while(|(e, s)| e.task.id == s.id && e.progress == s.progress)
-                .count();
+                .count()
+        } else {
+            0
+        };
+        // A stats rebuild below replays the same operations on the same
+        // inputs, so the chain only changes when the head or the pending
+        // signatures do.
+        let chain_same =
+            head_same && lcp == cache.pending_sig.len() && lcp == machine.pending_entries().len();
+        if head_same && (!want_stats || cache.stats_valid) {
+            // Layer 2 prefix reuse: keep every chain link up to the first
+            // divergence between the cached and live pending queues.
             for link in cache.links.drain(lcp..) {
                 scratch.recycle(link);
             }
@@ -397,7 +450,7 @@ impl MachineCache {
             if let Some(old) = cache.head.take() {
                 scratch.recycle(old);
             }
-            if let Some(exec) = machine.executing() {
+            if let Some(exec) = executing {
                 // Shared head pipeline (`chain::conditioned_head`) keeps
                 // this bit-identical to from-scratch analysis.
                 let (mut completion, robustness, skewness) = crate::chain::conditioned_head(
@@ -455,6 +508,9 @@ impl MachineCache {
             cache.links.push(step.availability);
         }
 
+        if !chain_same {
+            cache.rev = next_chain_rev();
+        }
         cache.valid = true;
         cache.version = machine.version();
         cache.warm_rev = machine.warm_rev();
@@ -646,10 +702,12 @@ impl ProbScorer {
     }
 
     /// Starts a new mapping event at `now`. Caches are *not* discarded:
-    /// validity is re-checked lazily against `(version, now)`, so an event
-    /// at the same timestamp (a same-instant arrival burst) keeps every
-    /// chain, and a moved clock rebuilds only the machines actually
-    /// queried.
+    /// validity is re-checked lazily when a machine is next queried. An
+    /// event at the same timestamp (a same-instant arrival burst) keeps
+    /// every chain; after a clock advance a chain is kept too unless its
+    /// head moved with the clock (an idle machine, an overrun task, or an
+    /// executing task whose elapsed time crossed a PET impulse), and only
+    /// the machines actually queried are rebuilt.
     pub fn begin_event(&mut self, now: Time) {
         self.now = now;
     }
@@ -745,6 +803,15 @@ impl ProbScorer {
     #[must_use]
     pub fn schedulable_machines(&self) -> usize {
         self.schedulable
+    }
+
+    /// Revision of `machine`'s cached availability chain, as of its last
+    /// query (diagnostics/tests). It changes exactly when a query rebuilt
+    /// the conditioned head or a pending link with a different result, so
+    /// an unchanged revision across a clock advance means the chain was
+    /// carried over intact.
+    pub fn chain_revision(&mut self, machine: MachineId) -> u64 {
+        self.cells.with(machine.index(), |cell| cell.cache.rev)
     }
 
     /// True when the machine cells currently live in a persistent worker
@@ -988,19 +1055,6 @@ impl ProbScorer {
         }
     }
 
-    /// Earliest possible start per free machine (`None`: no free slot),
-    /// gathered in machine-index order for the [`ScoreTable`] bound pass.
-    /// Cells must already be warm for the free machines.
-    fn collect_tail_mins(&mut self, machines: &[MachineState], out: &mut Vec<Option<Time>>) {
-        out.clear();
-        for (i, machine) in machines.iter().enumerate() {
-            let earliest = machine
-                .has_free_slot()
-                .then(|| self.cells.with(i, |cell| cell.cache.tail().min_time()));
-            out.push(earliest);
-        }
-    }
-
     /// Fan-out 2 of [`ScoreTable::rebuild`]: scores the bound-surviving
     /// rows against the free machines of the shards they survived in —
     /// `live_by_shard[s]` lists the `(row, task)` pairs live in shard `s`,
@@ -1078,14 +1132,20 @@ impl ProbScorer {
         }
     }
 
-    /// Ensures `machine`'s cell and returns its tail's earliest start —
-    /// the single-machine bound probe [`ScoreTable::push_row`] uses.
-    fn ensure_tail_min(&mut self, machine: &MachineState) -> Time {
+    /// Ensures a free `machine`'s cell and returns its tail's earliest
+    /// start and its chain revision — the per-machine probe [`ScoreTable`]
+    /// keeps its bound scalars and reuse keys current with. A machine
+    /// without a free slot is never scored, so it reports `(None, 0)`
+    /// without touching its cell.
+    fn probe_chain(&mut self, machine: &MachineState) -> (Option<Time>, u64) {
+        if !machine.has_free_slot() {
+            return (None, 0);
+        }
         let Self { shared, pet, cold_pet, now, cells, .. } = self;
         let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
         cells.with(machine.id().index(), |cell| {
             cell.ensure(shared, *now, machine, pets, false);
-            cell.cache.tail().min_time()
+            (Some(cell.cache.tail().min_time()), cell.cache.rev)
         })
     }
 }
@@ -1156,19 +1216,20 @@ const BOUND_MARGIN: f64 = 1e-8;
 
 /// The (window task × machine) score matrix PAM and MOC reduce over,
 /// maintained *hierarchically* and *incrementally* — within a mapping
-/// event and, when nothing invalidates it, across the events of a
-/// same-instant arrival burst.
+/// event and, when nothing invalidates it, across mapping events: the
+/// events of a same-instant arrival burst and later ticks alike.
 ///
 /// Layout is machine-major (one contiguous column per machine), grouped
 /// into contiguous `TABLE_SHARD_WIDTH`-machine shards, which is what
 /// makes both the bound pass and the phase-2 reduction cheap at cluster
 /// scale:
 ///
-/// * [`ScoreTable::rebuild`] — on the first event of a tick — ensures
-///   every free machine's tail cache in a per-machine fan-out (a
-///   worker-pool round at cluster scale), then scores the surviving
-///   (row, shard) pairs in a second fan-out (columns are disjoint cells,
-///   merged in machine-index order);
+/// * [`ScoreTable::rebuild`] — on the first event, after a membership
+///   change or threshold drift, or when most chains moved with the
+///   clock — ensures every free machine's tail cache in a per-machine
+///   fan-out (a worker-pool round at cluster scale), then scores the
+///   surviving (row, shard) pairs in a second fan-out (columns are
+///   disjoint cells, merged in machine-index order);
 /// * between the two fan-outs, a **hierarchical bound pass** proves most
 ///   window rows deferred without scoring them — and most shards of the
 ///   remaining rows irrelevant without touching their machines. The
@@ -1203,14 +1264,17 @@ const BOUND_MARGIN: f64 = 1e-8;
 ///   (machine state, task) alone. Within one event machines only fill up
 ///   and bounds only tighten, so a skipped row can never need
 ///   resurrection mid-event.
-/// * across the events of a same-tick burst, [`ScoreTable::ensure`]
-///   revalidates the table against `(now, membership epoch, machine
-///   versions, window)` instead of rebuilding: only machines whose
-///   version moved (completions, pruner drops) are rescored, rows whose
-///   bounds those machines *loosened* are resurrected shard-by-shard, and
-///   the window diff is applied as removals + appended rows. Every
-///   surviving entry is byte-identical to what a fresh rebuild would
-///   compute, so burst events cost O(changed), not O(machines).
+/// * across events, [`ScoreTable::ensure`] revalidates the table against
+///   `(membership epoch, machine versions, chain revisions, window)`
+///   instead of rebuilding: only machines whose version moved
+///   (completions, pruner drops) or whose chain moved with the clock are
+///   rescored, rows whose bounds those machines *loosened* are resurrected
+///   shard-by-shard, and the window diff is applied as removals +
+///   appended rows. Pair scores depend on the tail, the PET CDF and the
+///   deadline, never on `now` itself, so a column whose chain kept its
+///   revision across a clock advance is still exact. Every surviving
+///   entry is byte-identical to what a fresh rebuild would compute, so a
+///   reused event costs O(changed), not O(machines).
 ///
 /// The sequential heuristics used to rescore the full window × machines
 /// product on every loop iteration; under oversubscription — where the
@@ -1244,20 +1308,31 @@ pub struct ScoreTable {
     /// Per shard: min over members of `tail_mins` (`None`: no free
     /// member).
     shard_earliest: Vec<Option<Time>>,
-    /// Same-tick reuse signature: `(now, membership epoch)` of the last
-    /// rebuild, machine versions and window tasks as last scored.
+    /// Reuse signature: `(now, membership epoch)` the table was last
+    /// brought up to date at, and per machine the version and chain
+    /// revision its column was scored against (revision 0 for a machine
+    /// without a free slot), plus the window tasks as last scored.
     sig: Option<(Time, Option<u64>)>,
     versions: Vec<u64>,
+    revs: Vec<u64>,
     row_tasks: Vec<Task>,
     /// Set by [`ScoreTable::invalidate`] when the caller's thresholds
     /// drifted (PAMF sufferage): the next ensure falls back to rebuild.
     stale: bool,
-    /// Ensure scratch: indices/mask of version-changed machines, dirty
-    /// shards, and resurrected `(row, shard)` pairs.
+    /// Ensure scratch: indices/mask of changed machines, dirty shards,
+    /// resurrected `(row, shard)` pairs, and the surviving-row mask of
+    /// the window reconciliation.
     changed: Vec<usize>,
     changed_mask: Vec<bool>,
     dirty_shards: Vec<bool>,
     newly_live: Vec<(usize, usize)>,
+    keep: Vec<bool>,
+}
+
+/// Keeps the elements of `v` whose `keep` flag is set (index-aligned).
+fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    v.retain(|_| *flags.next().expect("one flag per element"));
 }
 
 /// Machine-index range of shard `s` in a `machines`-wide cluster.
@@ -1352,7 +1427,13 @@ impl ScoreTable {
         // date (the convolution-heavy part), then gather the bound
         // scalars and fold them into per-shard earliest starts.
         scorer.warm(machines, WarmFilter::FreeSlot, false, parallel);
-        scorer.collect_tail_mins(machines, &mut self.tail_mins);
+        self.tail_mins.clear();
+        self.revs.clear();
+        for machine in machines {
+            let (tail_min, rev) = scorer.probe_chain(machine);
+            self.tail_mins.push(tail_min);
+            self.revs.push(rev);
+        }
         self.shard_earliest.clear();
         self.shard_earliest.resize(shards, None);
         for (m, &tm) in self.tail_mins.iter().enumerate() {
@@ -1404,7 +1485,8 @@ impl ScoreTable {
             }
         }
 
-        // Same-tick reuse signature.
+        // Reuse signature (the revisions were gathered with the bound
+        // scalars above).
         self.versions.clear();
         self.versions.extend(machines.iter().map(MachineState::version));
         self.row_tasks.clear();
@@ -1413,7 +1495,7 @@ impl ScoreTable {
         self.stale = false;
     }
 
-    /// Marks the table unusable for same-tick reuse: the next
+    /// Marks the table unusable for reuse: the next
     /// [`ScoreTable::ensure`] rebuilds from scratch. Callers whose skip
     /// thresholds drift between events (PAMF sufferage) must invalidate,
     /// because resurrection only rechecks bounds that a *machine* change
@@ -1422,19 +1504,25 @@ impl ScoreTable {
         self.stale = true;
     }
 
-    /// Revalidates the table for a new mapping event at the same instant
-    /// instead of rebuilding: when `(now, membership epoch)` match the
-    /// last rebuild, only version-changed machines (completions since the
-    /// last event, pruner drops this event) are rescored, rows whose
-    /// bounds those machines loosened are resurrected, and the window
-    /// diff is applied as removals plus appended rows. Falls back to
-    /// [`ScoreTable::rebuild`] otherwise. Returns `true` when the table
-    /// was reused incrementally.
+    /// Revalidates the table for a new mapping event instead of
+    /// rebuilding. Under the membership epoch of the last rebuild, only
+    /// changed machines are rescored: those whose version moved
+    /// (completions, pruner drops, assignments) and, after a clock
+    /// advance, those whose chain revision moved (a head that crossed a
+    /// PET impulse, an idle head re-anchored at the new `now`). Rows whose
+    /// bounds those machines loosened are resurrected, and the window diff
+    /// is applied as removals plus appended rows. Falls back to
+    /// [`ScoreTable::rebuild`] on a new epoch, after
+    /// [`ScoreTable::invalidate`], or when the clock moved and more than
+    /// half of the machines changed (idle heads move every tick, and the
+    /// rebuild's fan-out beats rescoring them column by column). Returns
+    /// `true` when the table was reused incrementally.
     ///
     /// Every entry after `ensure` that a fresh rebuild would also score
     /// is byte-identical to the rebuilt value (pair scores are
-    /// deterministic in `(machine state, now, task)`, all of which are
-    /// revalidated); entries `ensure` keeps that a rebuild would have
+    /// deterministic in the machine's tail, its PET CDF selection and the
+    /// deadline — all keyed by version and chain revision — and never read
+    /// `now` itself); entries `ensure` keeps that a rebuild would have
     /// bound-skipped are exact scores strictly below the caller's
     /// threshold, which the reductions defer/cull identically. Decisions
     /// are therefore unchanged — only the work is.
@@ -1446,32 +1534,74 @@ impl ScoreTable {
         skip_below: &dyn Fn(TaskTypeId) -> f64,
     ) -> bool {
         let shards = scorer.shared.shards;
-        let reusable = !self.stale
-            && self.sig == Some((scorer.now, scorer.membership_epoch))
-            && self.versions.len() == machines.len()
-            && self.shard_earliest.len() == shards;
-        if !reusable {
-            self.rebuild(scorer, machines, tasks, skip_below);
-            return false;
-        }
+        let last_now = match self.sig {
+            Some((last_now, epoch))
+                if !self.stale
+                    && epoch == scorer.membership_epoch
+                    && self.versions.len() == machines.len()
+                    && self.shard_earliest.len() == shards =>
+            {
+                last_now
+            }
+            _ => {
+                self.rebuild(scorer, machines, tasks, skip_below);
+                return false;
+            }
+        };
         debug_assert_machine_alignment(machines);
+        let clock_moved = last_now != scorer.now;
 
-        // Phase 1: find version-changed machines and refresh their bound
-        // scalars (and their shards' earliest starts).
+        // Phase 1: find changed machines and refresh their bound scalars.
+        // Within one tick a chain only moves with its machine's version.
+        // After a clock advance, a version change or an idle free machine
+        // (its head is `delta(now)`) is a change for sure — when those
+        // alone are a majority, rebuild without touching a cell. Otherwise
+        // one pass brings every free chain to the new clock and the loop
+        // below reads the revisions. The pass stays on the calling thread:
+        // most chains only take the cheap survival check, and a pool round
+        // for that costs more than the few rebuilt chains save.
+        let mostly_moved = |changed: usize| 2 * changed > machines.len();
+        if clock_moved {
+            let sure = machines
+                .iter()
+                .zip(&self.versions)
+                .filter(|&(m, &v)| {
+                    m.version() != v || (m.has_free_slot() && m.executing().is_none())
+                })
+                .count();
+            if mostly_moved(sure) {
+                self.rebuild(scorer, machines, tasks, skip_below);
+                return false;
+            }
+            scorer.warm(machines, WarmFilter::FreeSlot, false, false);
+        }
         self.changed.clear();
         self.changed_mask.clear();
         self.changed_mask.resize(machines.len(), false);
-        self.dirty_shards.clear();
-        self.dirty_shards.resize(shards, false);
         for (m, machine) in machines.iter().enumerate() {
-            if self.versions[m] != machine.version() {
+            let version_moved = self.versions[m] != machine.version();
+            if !version_moved && !clock_moved {
+                continue;
+            }
+            let (tail_min, rev) = scorer.probe_chain(machine);
+            if version_moved || self.revs[m] != rev {
                 self.versions[m] = machine.version();
-                self.tail_mins[m] =
-                    machine.has_free_slot().then(|| scorer.ensure_tail_min(machine));
+                self.revs[m] = rev;
+                self.tail_mins[m] = tail_min;
                 self.changed.push(m);
                 self.changed_mask[m] = true;
-                self.dirty_shards[m / TABLE_SHARD_WIDTH] = true;
             }
+        }
+        if clock_moved && mostly_moved(self.changed.len()) {
+            self.rebuild(scorer, machines, tasks, skip_below);
+            return false;
+        }
+        self.sig = Some((scorer.now, scorer.membership_epoch));
+        let kept = self.retain_window(tasks);
+        self.dirty_shards.clear();
+        self.dirty_shards.resize(shards, false);
+        for &m in &self.changed {
+            self.dirty_shards[m / TABLE_SHARD_WIDTH] = true;
         }
         for s in 0..shards {
             if self.dirty_shards[s] {
@@ -1522,41 +1652,72 @@ impl ScoreTable {
             }
         }
 
-        // Phase 4: refresh the affected shard-best caches.
-        for &m in &self.changed {
-            let s = m / TABLE_SHARD_WIDTH;
+        // Phase 4: refresh the shard-best caches once per dirty shard
+        // (resurrected pairs only ever sit in dirty shards).
+        for s in 0..shards {
+            if !self.dirty_shards[s] {
+                continue;
+            }
             for row in 0..self.scored.len() {
                 if self.shard_live[row][s] {
                     self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
                 }
             }
         }
-        for &(row, s) in &self.newly_live {
-            self.shard_best[s][row] = shard_best_entry(&self.cols, s, row);
-        }
 
-        // Phase 5: reconcile the window. The new window is the old one
-        // minus departed tasks (assigned last event, expired this tick)
-        // plus a slid-in suffix; a two-pointer walk applies exactly that
-        // as removals and pushes. Any weirder diff degenerates to
-        // remove-all + push-all — slower, still exact.
-        let mut row = 0;
-        for task in tasks {
-            while row < self.rows() && self.row_tasks[row].id != task.id {
-                self.remove_row(row);
-            }
-            if row < self.rows() {
-                row += 1;
-            } else {
-                self.push_row(scorer, machines, task, skip_below);
-                row += 1;
-            }
-        }
-        while self.rows() > tasks.len() {
-            let last = tasks.len();
-            self.remove_row(last);
+        // Phase 5: append the tasks that slid into the window.
+        for task in &tasks[kept..] {
+            self.push_row(scorer, machines, task, skip_below);
         }
         true
+    }
+
+    /// Reconciles the rows with the new window `tasks` in one pass over
+    /// every row-aligned buffer and returns how many rows survived. The
+    /// new window is the old one minus departed tasks (assigned last
+    /// event, expired since) plus a slid-in suffix: rows are matched
+    /// against `tasks` in order, and the first task without a matching
+    /// row ends the match — it and every later task are the suffix the
+    /// caller appends. Any weirder diff degenerates to remove-all +
+    /// push-all: slower, still exact.
+    fn retain_window(&mut self, tasks: &[Task]) -> usize {
+        let rows = self.rows();
+        self.keep.clear();
+        self.keep.resize(rows, false);
+        let (mut row, mut kept) = (0, 0);
+        for task in tasks {
+            while row < rows && self.row_tasks[row].id != task.id {
+                row += 1;
+            }
+            if row == rows {
+                break;
+            }
+            self.keep[row] = true;
+            row += 1;
+            kept += 1;
+        }
+        if kept == rows {
+            return kept;
+        }
+        let keep = &self.keep;
+        for col in &mut self.cols {
+            retain_flagged(col, keep);
+        }
+        for bests in &mut self.shard_best {
+            retain_flagged(bests, keep);
+        }
+        retain_flagged(&mut self.scored, keep);
+        retain_flagged(&mut self.row_tasks, keep);
+        let mut flags = keep.iter();
+        let spare = &mut self.spare_lanes;
+        self.shard_live.retain_mut(|lanes| {
+            let k = *flags.next().expect("one flag per row");
+            if !k {
+                spare.push(std::mem::take(lanes));
+            }
+            k
+        });
+        kept
     }
 
     /// Recomputes `shard_earliest[s]` from its members' `tail_mins`.
@@ -1678,12 +1839,13 @@ impl ScoreTable {
         );
         self.rescore_column(scorer, machines, m);
         let machine = &machines[m];
+        // The cell is warm after the rescore, so the probe is a cache hit.
+        let (tail_min, rev) = scorer.probe_chain(machine);
         if m < self.versions.len() {
             self.versions[m] = machine.version();
+            self.revs[m] = rev;
         }
-        // The cell is warm after the rescore, so the bound probe is a
-        // cache hit.
-        self.tail_mins[m] = machine.has_free_slot().then(|| scorer.ensure_tail_min(machine));
+        self.tail_mins[m] = tail_min;
         let s = m / TABLE_SHARD_WIDTH;
         self.recompute_shard_earliest(s);
         for row in 0..self.scored.len() {
@@ -2347,25 +2509,7 @@ mod tests {
         let mut ref_scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
         ref_scorer.begin_event(3);
         reference.rebuild(&mut ref_scorer, &machines, &tasks, &|_| 0.0);
-        assert_eq!(table.rows(), reference.rows());
-        for i in 0..tasks.len() {
-            for m in 0..machines.len() {
-                match (table.get(i, m), reference.get(i, m)) {
-                    (Some(a), Some(b)) => assert!(
-                        a.robustness.to_bits() == b.robustness.to_bits()
-                            && a.expected_completion.to_bits() == b.expected_completion.to_bits(),
-                        "({i},{m}): {a:?} vs {b:?}"
-                    ),
-                    (None, None) => {}
-                    other => panic!("presence mismatch at ({i},{m}): {other:?}"),
-                }
-            }
-            assert_eq!(
-                table.best_for_row(&machines, i),
-                reference.best_for_row(&machines, i),
-                "row {i} reduction diverged"
-            );
-        }
+        assert_table_equals_rebuild(&table, &reference, &machines, &tasks);
     }
 
     #[test]
@@ -2419,17 +2563,47 @@ mod tests {
         assert_table_agrees_with_exact(&table, &mut ref_scorer, &machines, &tasks, &threshold);
     }
 
+    /// Cell-for-cell and reduction-level equality with a fresh rebuild.
+    fn assert_table_equals_rebuild(
+        table: &ScoreTable,
+        reference: &ScoreTable,
+        machines: &[MachineState],
+        tasks: &[Task],
+    ) {
+        assert_eq!(table.rows(), reference.rows());
+        for i in 0..tasks.len() {
+            for m in 0..machines.len() {
+                match (table.get(i, m), reference.get(i, m)) {
+                    (Some(a), Some(b)) => assert!(
+                        a.robustness.to_bits() == b.robustness.to_bits()
+                            && a.expected_completion.to_bits() == b.expected_completion.to_bits(),
+                        "({i},{m}): {a:?} vs {b:?}"
+                    ),
+                    (None, None) => {}
+                    other => panic!("presence mismatch at ({i},{m}): {other:?}"),
+                }
+            }
+            assert_eq!(
+                table.best_for_row(machines, i),
+                reference.best_for_row(machines, i),
+                "row {i} reduction diverged"
+            );
+        }
+    }
+
     #[test]
     fn score_table_ensure_rebuilds_on_tick_epoch_or_invalidate() {
+        // The fixture's machines are idle, so every head is `delta(now)`.
         let (pet, machines) = fanout_fixture(20);
         let tasks = vec![Task { id: TaskId(1), type_id: TaskTypeId(0), arrival: 0, deadline: 90 }];
         let mut scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
         scorer.begin_event(3);
         let mut table = ScoreTable::new();
         table.rebuild(&mut scorer, &machines, &tasks, &|_| 0.0);
-        // A later tick must rebuild (scores move with `now`).
+        // A later tick where the chains moved (idle heads re-anchor at the
+        // new now) must rebuild.
         scorer.begin_event(7);
-        assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "new tick");
+        assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "new tick, chains moved");
         // A membership epoch bump must rebuild (shard geometry may move).
         scorer.sync_membership(1, &machines);
         assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "new epoch");
@@ -2438,6 +2612,41 @@ mod tests {
         assert!(!table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "invalidated");
         // And with nothing changed, the reuse path holds.
         assert!(table.ensure(&mut scorer, &machines, &tasks, &|_| 0.0), "steady state");
+
+        // Busy machines: every head is a residual started at t=10, and the
+        // fixture's first PET impulse is at t≥2 — so a one-tick advance
+        // keeps every chain, and the table must be reused as is.
+        let mut busy = machines.clone();
+        for (m, machine) in busy.iter_mut().enumerate() {
+            let head = Task {
+                id: TaskId(5_000 + m as u32),
+                type_id: TaskTypeId(0),
+                arrival: 0,
+                deadline: 500,
+            };
+            assert!(testkit::start_executing(machine, head, 10, 40));
+        }
+        scorer.begin_event(10);
+        table.rebuild(&mut scorer, &busy, &tasks, &|_| 0.0);
+        let revs: Vec<u64> =
+            (0..busy.len()).map(|m| scorer.chain_revision(MachineId::from(m))).collect();
+        scorer.begin_event(11);
+        assert!(
+            table.ensure(&mut scorer, &busy, &tasks, &|_| 0.0),
+            "new tick, every chain survived"
+        );
+        for (m, &rev) in revs.iter().enumerate() {
+            assert_eq!(scorer.chain_revision(MachineId::from(m)), rev, "machine {m} chain rebuilt");
+        }
+        let mut reference = ScoreTable::new();
+        let mut ref_scorer = ProbScorer::new(&pet, DropPolicy::All, 16);
+        ref_scorer.begin_event(11);
+        reference.rebuild(&mut ref_scorer, &busy, &tasks, &|_| 0.0);
+        assert_table_equals_rebuild(&table, &reference, &busy, &tasks);
+        // Far past every impulse the heads overrun: `delta(1 + now)` moves
+        // with the clock, so the table rebuilds.
+        scorer.begin_event(200);
+        assert!(!table.ensure(&mut scorer, &busy, &tasks, &|_| 0.0), "new tick, heads overran");
     }
 
     #[test]

@@ -571,7 +571,7 @@ fn cluster_64m_churn_seed_golden_pin() {
 /// fast. Runs sequentially and on the matrix-selected parallel mode
 /// (`HCSIM_TEST_THREADS` × `HCSIM_TEST_POOL`, including the work-stealing
 /// pool on `HCSIM_TEST_POOL=2`) and asserts the same pinned constants on
-/// every leg — proving the hierarchical bound pass, same-tick reuse, and
+/// every leg — proving the hierarchical bound pass, table reuse, and
 /// all four execution modes agree byte-for-byte at the new scale.
 #[test]
 fn cluster_1024m_seed_golden_pin() {

@@ -10,11 +10,16 @@
 //! maintenance: both paths perform the same `queue_step` → `compact`
 //! sequence, so *any* divergence is a bug, not float noise — hence exact
 //! (bitwise) comparison, no epsilons.
+//!
+//! A second replay aims the clock at the executing task's PET impulses —
+//! advances inside one impulse gap, across an impulse, and into the
+//! overrun region — and checks through the chain revision that a chain
+//! was carried across the tick exactly when its head could not move.
 
 use hcsim_core::chain::analyze_queue;
 use hcsim_core::ProbScorer;
 use hcsim_model::{MachineId, PetBuilder, PetMatrix, Task, TaskId, TaskTypeId, Time};
-use hcsim_pmf::DropPolicy;
+use hcsim_pmf::{DropPolicy, Pmf};
 use hcsim_sim::testkit::{self, QueueOp};
 use hcsim_sim::MachineState;
 use hcsim_stats::SeedSequence;
@@ -187,5 +192,172 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Where one clock advance lands relative to the executing task's PET
+/// impulses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Landing {
+    /// Strictly later, still below the next impulse: the head survives.
+    InGap,
+    /// At or past the next impulse, still below the last one.
+    AcrossImpulse,
+    /// At or past the last impulse: all mass at or below `elapsed`.
+    Overrun,
+}
+
+/// The elapsed time one advance from `elapsed` reaches for `landing`
+/// (`pick` chooses among the admissible values), or `None` when the PET
+/// leaves no room for that landing.
+fn land(times: &[Time], elapsed: Time, landing: Landing, pick: u64) -> Option<Time> {
+    let split = times.partition_point(|&x| x <= elapsed);
+    let last = *times.last().expect("non-empty PET cell");
+    match landing {
+        Landing::InGap => {
+            let next = *times.get(split)?;
+            (next > elapsed + 1).then(|| elapsed + 1 + pick % (next - elapsed - 1))
+        }
+        Landing::AcrossImpulse => {
+            let next = *times.get(split)?;
+            (next < last).then(|| next + pick % (last - next))
+        }
+        Landing::Overrun => Some(last.max(elapsed + 1) + pick % 20),
+    }
+}
+
+/// A sparse PET (one machine): per type, impulses from cumulative gaps
+/// starting at time 3 or later, so wide gaps — and an in-gap first
+/// advance from a fresh start — always exist.
+fn sparse_pet(cells: &[Vec<(Time, f64)>]) -> PetMatrix {
+    let pmfs = cells
+        .iter()
+        .map(|gaps| {
+            let mut t = 0;
+            let points: Vec<(Time, f64)> = gaps
+                .iter()
+                .map(|&(gap, mass)| {
+                    t += gap;
+                    (t, mass)
+                })
+                .collect();
+            let mut pmf = Pmf::from_points(&points).expect("valid points");
+            pmf.normalize();
+            pmf
+        })
+        .collect();
+    PetMatrix::from_pmfs(cells.len(), 1, pmfs)
+}
+
+/// Cached tail and slot view must equal from-scratch analysis bit for bit.
+fn assert_matches_scratch(
+    scorer: &mut ProbScorer,
+    machine: &MachineState,
+    pet: &PetMatrix,
+    now: Time,
+    policy: DropPolicy,
+) {
+    let reference = analyze_queue(machine, pet, now, policy, BUDGET);
+    let cached = scorer.tail(machine).clone();
+    assert_eq!(cached.times(), reference.tail.times(), "tail times diverged at t={now}");
+    assert!(
+        cached
+            .masses()
+            .iter()
+            .zip(reference.tail.masses())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "tail masses diverged at t={now}"
+    );
+    let slots = scorer.slot_scores(machine).to_vec();
+    assert_eq!(slots.len(), reference.slots.len());
+    for (got, want) in slots.iter().zip(&reference.slots) {
+        assert_eq!(got.task.id, want.task.id);
+        assert!(
+            got.robustness.to_bits() == want.robustness.to_bits()
+                && got.skewness.to_bits() == want.skewness.to_bits(),
+            "slot of task {} diverged at t={now}: {got:?} vs {want:?}",
+            got.task.id
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Cross-tick chain reuse: a task executes under a random sparse PET
+    /// with a random pending queue behind it, and the clock advances in
+    /// steps aimed at the task's PET impulses. After every advance the
+    /// cached chain must equal from-scratch analysis bit for bit, and its
+    /// revision must stay put exactly on the in-gap advances — so the
+    /// replay cannot pass without taking the cross-tick path (the first
+    /// advance always lands in a gap). Pushes between ticks make the
+    /// carried head feed fresh link extensions too.
+    #[test]
+    fn cross_tick_chain_reuse_is_byte_identical(
+        cells in prop::collection::vec(prop::collection::vec((3u64..25, 0.05f64..1.0), 1..6), 3..4),
+        pending in prop::collection::vec((0u32..NUM_TYPES as u32, 20u64..300), 0..4),
+        steps in prop::collection::vec((0u32..3, 0u64..1_000, 0u32..4, 20u64..300), 1..10),
+        exec_tt in 0u32..NUM_TYPES as u32,
+        start in 0u64..50,
+        policy_idx in 0usize..3,
+    ) {
+        let policy = [DropPolicy::None, DropPolicy::PendingOnly, DropPolicy::All][policy_idx];
+        let pet = sparse_pet(&cells);
+        let mut scorer = ProbScorer::new(&pet, policy, BUDGET);
+        let mut machine = MachineState::new(MachineId(0), CAPACITY);
+        let mut next_id: u32 = 0;
+        let mut task = |tt: u32, slack: Time, now: Time| {
+            next_id += 1;
+            let type_id = TaskTypeId(tt as u16);
+            Task { id: TaskId(next_id), type_id, arrival: now, deadline: now + slack }
+        };
+        let head = task(exec_tt, 400, start);
+        prop_assert!(testkit::start_executing(&mut machine, head, start, 10_000));
+        for &(tt, slack) in &pending {
+            testkit::apply(&mut machine, QueueOp::Push(task(tt, slack, start)));
+        }
+        scorer.begin_event(start);
+        assert_matches_scratch(&mut scorer, &machine, &pet, start, policy);
+        let times = pet.pmf(TaskTypeId(exec_tt as u16), MachineId(0)).times().to_vec();
+        let mut elapsed: Time = 0;
+        let mut carried = 0;
+        for (i, &(sel, pick, push_tt, slack)) in steps.iter().enumerate() {
+            let wanted = if i == 0 {
+                Landing::InGap
+            } else {
+                [Landing::InGap, Landing::AcrossImpulse, Landing::Overrun][sel as usize]
+            };
+            // Fall back along in-gap → across → overrun when the PET
+            // leaves no room for the wanted landing.
+            let (landing, next) = [Landing::InGap, Landing::AcrossImpulse, Landing::Overrun]
+                .into_iter()
+                .skip_while(|&l| l != wanted)
+                .find_map(|l| land(&times, elapsed, l, pick).map(|e| (l, e)))
+                .expect("overrun always lands");
+            prop_assert!(i > 0 || landing == Landing::InGap, "first impulse is at time 3 or later");
+            elapsed = next;
+            let now = start + elapsed;
+            let rev_before = scorer.chain_revision(MachineId(0));
+            scorer.begin_event(now);
+            assert_matches_scratch(&mut scorer, &machine, &pet, now, policy);
+            let rev_after = scorer.chain_revision(MachineId(0));
+            if landing == Landing::InGap {
+                prop_assert_eq!(rev_before, rev_after, "in-gap advance to t={} rebuilt", now);
+                carried += 1;
+            } else {
+                prop_assert_ne!(rev_before, rev_after, "{:?} to t={} kept the head", landing, now);
+            }
+            // Same-tick growth behind the (possibly carried) head.
+            if push_tt < NUM_TYPES as u32 && machine.has_free_slot() {
+                testkit::apply(&mut machine, QueueOp::Push(task(push_tt, slack, now)));
+                assert_matches_scratch(&mut scorer, &machine, &pet, now, policy);
+                prop_assert_ne!(
+                    rev_after,
+                    scorer.chain_revision(MachineId(0)),
+                    "a new link kept the chain revision"
+                );
+            }
+        }
+        prop_assert!(carried > 0, "the cross-tick path never fired");
     }
 }

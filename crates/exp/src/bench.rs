@@ -639,11 +639,11 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
     // Mega-cluster scenario: 1024 machines (32 score-table shards) with
     // the arrival rate scaled 128× so the per-machine load stays at the
     // 34k level. At this rate arrivals pile onto shared ticks, so the
-    // same-tick table-reuse path dominates; the hierarchical bound pass
-    // keeps phase-2 candidate work at O(shards-that-can-win) rather than
+    // table-reuse path dominates; the hierarchical bound pass keeps
+    // phase-2 candidate work at O(shards-that-can-win) rather than
     // O(machines). The `_noreuse` ablation row runs the identical
-    // scenario with same-tick reuse disabled — the gap to
-    // `cluster_1024m/PAM_t4` is the measured burst win.
+    // scenario with table reuse disabled — the gap to
+    // `cluster_1024m/PAM_t4` is the measured reuse win.
     let mega_spec = specint_cluster(1024, 6, &mut seeds.stream(7));
     let mega_gen = WorkloadGenerator::new(WorkloadConfig {
         num_tasks: cluster_tasks_n,
@@ -684,7 +684,7 @@ fn cluster_sweep(quick: bool, results: &mut Vec<BenchResult>) {
     // aggregate rate scaled 8× so the per-machine load matches the
     // 32-machine serverless default. Bursty interarrivals (CV² > 1) pile
     // requests onto shared ticks far harder than the smooth batch
-    // process, and every same-tick reuse hit must additionally survive
+    // process, and every table-reuse hit must additionally survive
     // the warm-container revision checks (a keep-alive mutation bumps
     // `warm_rev` and invalidates the cached column) — so these rows
     // stress the table-reuse path under its adversarial case. The
@@ -768,11 +768,11 @@ pub fn render_scaling_markdown(suite: &BenchSuite) -> String {
          churn (8 late joins, 6 drains, 4 fails with task requeue). The\n\
          cluster_1024m rows run the mega-cluster scenario (1024 machines,\n\
          128x arrival rate, 32 score-table shards); cluster_1024m_noreuse\n\
-         is the same scenario with same-tick table reuse disabled, so its\n\
-         gap to cluster_1024m/PAM_t4 is the measured burst-reuse win.\n\
+         is the same scenario with score-table reuse disabled, so its\n\
+         gap to cluster_1024m/PAM_t4 is the measured reuse win.\n\
          The cluster_faas256 rows run the serverless burst scenario (256\n\
          machines, Zipf-popular bursty functions, cold starts +\n\
-         keep-alive); cluster_faas256_noreuse is its same-tick-reuse\n\
+         keep-alive); cluster_faas256_noreuse is its table-reuse\n\
          ablation. Every scenario's speedups compare against its own t1\n\
          leg.\n\n\
          | id | threads | ns/op (best) | events/sec | speedup vs t1 |\n\

@@ -45,7 +45,11 @@ figures:  fig4..fig9 reproduce the paper; 'all' runs every figure;
           popular bursty functions at >10x the 34k arrival intensity with
           container cold starts and keep-alive, PAM pruning vs the MM
           baseline with cold/warm accounting;
-          'ablate' runs the design-choice ablation suite (see DESIGN.md);
+          'ablate' runs the design-choice ablation suite: one table per
+          knob the paper fixes without sensitivity data (Eq. 7
+          adjustment, rho, executing-task eviction, impulse budget,
+          batch window, PET model error, drop scenarios, approximate
+          computing, queue depth, arrival burstiness, preemption);
           'bench' times the PMF calculus and the mapping loop (incl. the
           cluster_64m, cluster_64m_churn, cluster_1024m, and
           cluster_faas256 scenarios), writing BENCH_pmf.json /

@@ -3,8 +3,7 @@
 //! The original study measured mean execution times of twelve SPECint
 //! benchmarks on eight physical machines. Those measurements are not
 //! published with the paper, so this module substitutes a fixed,
-//! deterministic 12×8 mean matrix with the same structural properties
-//! (documented in DESIGN.md):
+//! deterministic 12×8 mean matrix with the same structural properties:
 //!
 //! * means lie in the paper's 50–200 ms range;
 //! * heterogeneity is *inconsistent*: the machine ordering differs across
