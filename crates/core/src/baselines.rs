@@ -170,7 +170,9 @@ impl ScalarMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SystemSpec, TaskTypeId, TaskTypeSpec};
+    use hcsim_model::{
+        MachineSpec, PetBuilder, PriceTable, SpecMemo, SystemSpec, TaskTypeId, TaskTypeSpec,
+    };
     use hcsim_sim::{run_simulation, SimConfig};
     use hcsim_stats::SeedSequence;
 
@@ -191,6 +193,7 @@ mod tests {
             prices: PriceTable::uniform(2, 1.0),
             queue_capacity: 6,
             coldstart: None,
+            memo: SpecMemo::default(),
         }
         .validated()
     }
@@ -233,6 +236,7 @@ mod tests {
             prices: PriceTable::uniform(1, 1.0),
             queue_capacity: 1,
             coldstart: None,
+            memo: SpecMemo::default(),
         }
         .validated()
     }

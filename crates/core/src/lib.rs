@@ -6,6 +6,9 @@
 //! * [`chain`] — turns a machine queue plus the PET matrix into
 //!   per-position completion PMFs and robustness values by chaining the
 //!   Eq. 2–5 convolutions of `hcsim-pmf`.
+//! * [`SpecTables`] — what the probabilistic scorer derives from the spec
+//!   alone (warm/cold prefix CDFs, shard envelopes), built once per
+//!   [`hcsim_model::SystemSpec`] and shared by every mapper on it.
 //! * [`scalar`] — expected-value queue accounting for the scalar baselines
 //!   (MM, MSD, MMU never touch a PMF).
 //! * [`OversubscriptionDetector`] — Eq. 8 EWMA of deadline misses per
@@ -68,6 +71,7 @@ mod pam;
 mod pruner;
 pub mod scalar;
 mod scorer;
+mod tables;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController};
 pub use baselines::{Phase2Rule, ScalarMapper};
@@ -78,6 +82,7 @@ pub use moc::{Moc, MocConfig};
 pub use pam::Pam;
 pub use pruner::{OversubscriptionDetector, Pruner, PruningConfig};
 pub use scorer::{PairScore, ProbScorer, ScoreTable, SlotScore, PARALLEL_MIN_MACHINES};
+pub use tables::SpecTables;
 
 /// Resolves a heuristic-level `threads` knob against the engine-level one:
 /// a nonzero mapper knob wins, else a nonzero [`SimConfig::threads`], else

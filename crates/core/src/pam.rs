@@ -512,7 +512,7 @@ impl Pam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SystemSpec, TaskTypeSpec};
+    use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SpecMemo, SystemSpec, TaskTypeSpec};
     use hcsim_sim::{run_simulation, SimConfig, SimReport};
     use hcsim_stats::SeedSequence;
     use hcsim_workload::{specint_system, WorkloadConfig, WorkloadGenerator};
@@ -619,6 +619,7 @@ mod tests {
             prices: PriceTable::uniform(1, 1.0),
             queue_capacity: 6,
             coldstart: None,
+            memo: SpecMemo::default(),
         }
         .validated();
         let tasks = vec![Task {
@@ -647,6 +648,7 @@ mod tests {
             prices: PriceTable::uniform(1, 1.0),
             queue_capacity: 6,
             coldstart: None,
+            memo: SpecMemo::default(),
         }
         .validated();
         let tasks = vec![Task { id: TaskId(0), type_id: TaskTypeId(0), arrival: 0, deadline: 500 }];

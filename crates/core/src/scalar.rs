@@ -101,6 +101,7 @@ mod tests {
             prices: hcsim_model::PriceTable::uniform(1, 1.0),
             queue_capacity: 6,
             coldstart: None,
+            memo: hcsim_model::SpecMemo::default(),
         }
         .validated();
         let tasks: Vec<Task> = (0..3)

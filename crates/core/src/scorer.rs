@@ -89,6 +89,7 @@
 //!   cost instead of a channel round-trip.
 
 use crate::chain::{analyze_queue_cold, PetTables, QueueAnalysis};
+use crate::tables::{PetCdf, SpecTables};
 use hcsim_model::{MachineId, PetMatrix, SystemSpec, Task, TaskId, TaskTypeId, Time};
 use hcsim_parallel::{parallel_for_each_mut, FanoutBackend, WorkerPool};
 use hcsim_pmf::{queue_step_into, ConvScratch, DropPolicy, Pmf};
@@ -145,42 +146,6 @@ pub struct SlotScore {
     /// Eq. 6 bounded skewness of the completion PMF (0 when the task can
     /// never start).
     pub skewness: f64,
-}
-
-/// Prefix-CDF view of one PET cell.
-#[derive(Debug, Clone)]
-struct PetCdf {
-    times: Vec<Time>,
-    /// `prefix[i]` = total mass at `times[..=i]`.
-    prefix: Vec<f64>,
-    mean: f64,
-}
-
-impl PetCdf {
-    fn build(pmf: &Pmf) -> Self {
-        let times: Vec<Time> = pmf.times().to_vec();
-        let mut acc = 0.0;
-        let prefix = pmf
-            .masses()
-            .iter()
-            .map(|&p| {
-                acc += p;
-                acc
-            })
-            .collect();
-        Self { times, prefix, mean: pmf.mean() }
-    }
-
-    /// Mass at execution times `<= t`.
-    #[inline]
-    fn cdf_at(&self, t: Time) -> f64 {
-        let idx = self.times.partition_point(|&x| x <= t);
-        if idx == 0 {
-            0.0
-        } else {
-            self.prefix[idx - 1]
-        }
-    }
 }
 
 /// Identity of one pending queue entry, as far as the chain math cares:
@@ -253,91 +218,6 @@ fn next_chain_rev() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The scorer state shared *read-only* across every machine cell during a
-/// fan-out: the drop policy, the compaction budget, and the prefix CDFs of
-/// every PET cell. Immutable after construction, so one `Arc` serves both
-/// the caller and the pool workers; the per-event clock travels separately
-/// (it changes every event).
-#[derive(Debug)]
-struct ScorerShared {
-    policy: DropPolicy,
-    budget: usize,
-    /// Prefix CDFs, row-major `(task_type, machine)`, built once.
-    cdfs: Vec<PetCdf>,
-    /// Cold-placement prefix CDFs (spin-up ⊛ execution cells), same
-    /// layout; `None` in the classic HC model where every start is warm.
-    cold_cdfs: Option<Vec<PetCdf>>,
-    machines: usize,
-    /// Shard envelope CDFs, row-major `(task_type, shard)`: the pointwise
-    /// max of the shard members' prefix CDFs. `CDF_env(t) ≥ CDF_m(t)` for
-    /// every member `m`, so a shard-level robustness bound computed from
-    /// the envelope dominates every member's individual bound — a shard
-    /// the envelope proves below a threshold needs no per-machine work at
-    /// all. Under a cold-start model the envelope additionally covers the
-    /// *cold* member CDFs — compaction can locally break the stochastic
-    /// dominance of cold over warm cells, so cold CDFs are folded in
-    /// explicitly to keep the bound valid for whichever cell
-    /// [`ScorerShared::cdf_for`] picks. Built once (the PET is static);
-    /// the `mean` field of an envelope is unused and left NaN.
-    shard_cdfs: Vec<PetCdf>,
-    /// Number of [`TABLE_SHARD_WIDTH`]-machine shards.
-    shards: usize,
-}
-
-impl ScorerShared {
-    #[inline]
-    fn cdf(&self, tt: TaskTypeId, m: MachineId) -> &PetCdf {
-        &self.cdfs[tt.index() * self.machines + m.index()]
-    }
-
-    /// The CDF a hypothetical append of type `tt` to `machine` scores
-    /// with: the cold cell when the placement would pay a spin-up (no warm
-    /// container, no same-type entry already queued — the warmth rule of
-    /// [`PetTables`]), the warm cell otherwise.
-    #[inline]
-    fn cdf_for(&self, tt: TaskTypeId, machine: &MachineState) -> &PetCdf {
-        match &self.cold_cdfs {
-            Some(cold) if crate::chain::append_would_be_cold(machine, tt) => {
-                &cold[tt.index() * self.machines + machine.id().index()]
-            }
-            _ => self.cdf(tt, machine.id()),
-        }
-    }
-
-    #[inline]
-    fn shard_cdf(&self, tt: TaskTypeId, shard: usize) -> &PetCdf {
-        &self.shard_cdfs[tt.index() * self.shards + shard]
-    }
-}
-
-/// Pointwise-max envelope of a shard's member CDFs: breakpoints are the
-/// union of member breakpoints (a max of step functions only steps where
-/// some member steps), values the running max of the member prefixes.
-/// Non-decreasing because every member prefix is. Members are passed by
-/// reference so warm and cold rows can be enveloped together.
-fn envelope_cdf(members: &[&PetCdf]) -> PetCdf {
-    let mut times: Vec<Time> = members.iter().flat_map(|c| c.times.iter().copied()).collect();
-    times.sort_unstable();
-    times.dedup();
-    let mut cursors = vec![0usize; members.len()];
-    let prefix = times
-        .iter()
-        .map(|&t| {
-            let mut v = 0.0f64;
-            for (cursor, member) in cursors.iter_mut().zip(members) {
-                while *cursor < member.times.len() && member.times[*cursor] <= t {
-                    *cursor += 1;
-                }
-                if *cursor > 0 {
-                    v = v.max(member.prefix[*cursor - 1]);
-                }
-            }
-            v
-        })
-        .collect();
-    PetCdf { times, prefix, mean: f64::NAN }
-}
-
 /// One machine's independently-borrowable scoring cell: the incremental
 /// tail cache, the convolution scratch pool that feeds it, and a column
 /// scratch the pooled fan-out fills in place. Workers in a fan-out own one
@@ -383,13 +263,13 @@ impl MachineCache {
     /// extension left placeholders.
     fn ensure(
         &mut self,
-        shared: &ScorerShared,
+        tables: &SpecTables,
+        policy: DropPolicy,
         now: Time,
         machine: &MachineState,
-        pets: PetTables<'_>,
         want_stats: bool,
     ) {
-        let (policy, budget) = (shared.policy, shared.budget);
+        let (pets, budget) = (tables.pets(), tables.budget());
         let Self { cache, scratch, .. } = self;
         if cache.valid
             && cache.version == machine.version()
@@ -568,12 +448,12 @@ type SharedLiveRows = Arc<Vec<Vec<(usize, Task)>>>;
 /// Robustness/expected-completion scorer with incremental tail caching.
 #[derive(Debug)]
 pub struct ProbScorer {
-    shared: Arc<ScorerShared>,
-    /// The PET the scorer was built from, `Arc`-shared with pool workers.
-    pet: Arc<PetMatrix>,
-    /// Cold-placement PET (spin-up ⊛ execution per cell), `Arc`-shared
-    /// with pool workers; `None` in the classic HC model.
-    cold_pet: Option<Arc<PetMatrix>>,
+    /// The spec-derived tables (PETs, prefix and envelope CDFs),
+    /// `Arc`-shared with pool workers and, via [`ProbScorer::for_spec`],
+    /// with every other scorer on the same spec.
+    tables: Arc<SpecTables>,
+    /// The drop policy the chains and scores model.
+    policy: DropPolicy,
     /// Current event clock (set by [`ProbScorer::begin_event`]).
     now: Time,
     /// Resolved fan-out width (set by [`ProbScorer::set_parallelism`]).
@@ -603,27 +483,29 @@ pub struct ProbScorer {
 
 impl ProbScorer {
     /// Builds a scorer for `pet` under `policy`, compacting intermediate
-    /// availability PMFs to `budget` impulses. The PET is cloned once into
-    /// shared storage; every later query scores against it.
+    /// availability PMFs to `budget` impulses. The tables are built for
+    /// this scorer alone; [`ProbScorer::for_spec`] is the shared path.
     #[must_use]
     pub fn new(pet: &PetMatrix, policy: DropPolicy, budget: usize) -> Self {
         Self::with_cold(pet, None, policy, budget)
     }
 
     /// Builds a scorer for a full system spec: cold-start-aware when the
-    /// spec carries a [`hcsim_model::ColdStartModel`] (the cold PET is
-    /// derived once — spin-up ⊛ execution per cell, compacted to
-    /// `budget`), identical to [`ProbScorer::new`] otherwise.
+    /// spec carries a [`hcsim_model::ColdStartModel`], identical to
+    /// [`ProbScorer::new`] otherwise. The tables — cold PET, prefix CDFs,
+    /// shard envelopes — are built once per spec and budget and shared
+    /// by every scorer on the spec or a clone of it (see
+    /// [`SpecTables::for_spec`]), so only the first mapper pays for them.
     #[must_use]
     pub fn for_spec(spec: &SystemSpec, policy: DropPolicy, budget: usize) -> Self {
-        let cold = spec.coldstart.as_ref().map(|c| c.cold_pet(&spec.pet, budget));
-        Self::with_cold(&spec.pet, cold.as_ref(), policy, budget)
+        Self::from_tables(SpecTables::for_spec(spec, budget), policy)
     }
 
     /// [`ProbScorer::new`] with an explicit cold-placement PET (same
     /// dimensions as `pet`; see [`hcsim_model::ColdStartModel::cold_pet`]).
     /// Queue chains and append scores then select the warm or cold cell
-    /// per position via the [`PetTables`] warmth rules.
+    /// per position via the [`PetTables`] warmth rules. Both PETs are
+    /// kept by `Arc`, not copied; the tables are not memoized.
     ///
     /// # Panics
     ///
@@ -635,58 +517,19 @@ impl ProbScorer {
         policy: DropPolicy,
         budget: usize,
     ) -> Self {
-        let mut cdfs = Vec::with_capacity(pet.task_types() * pet.machines());
-        for tt in 0..pet.task_types() {
-            for m in 0..pet.machines() {
-                cdfs.push(PetCdf::build(pet.pmf(TaskTypeId::from(tt), MachineId::from(m))));
-            }
-        }
-        let cold_cdfs = cold.map(|cold| {
-            assert_eq!(cold.task_types(), pet.task_types(), "cold PET task type count");
-            assert_eq!(cold.machines(), pet.machines(), "cold PET machine count");
-            let mut cdfs = Vec::with_capacity(cold.task_types() * cold.machines());
-            for tt in 0..cold.task_types() {
-                for m in 0..cold.machines() {
-                    cdfs.push(PetCdf::build(cold.pmf(TaskTypeId::from(tt), MachineId::from(m))));
-                }
-            }
-            cdfs
-        });
-        let shards = pet.machines().div_ceil(TABLE_SHARD_WIDTH);
-        let mut shard_cdfs = Vec::with_capacity(pet.task_types() * shards);
-        let mut members: Vec<&PetCdf> = Vec::with_capacity(2 * TABLE_SHARD_WIDTH);
-        for tt in 0..pet.task_types() {
-            let row = &cdfs[tt * pet.machines()..(tt + 1) * pet.machines()];
-            let cold_row =
-                cold_cdfs.as_ref().map(|c| &c[tt * pet.machines()..(tt + 1) * pet.machines()]);
-            for s in 0..shards {
-                let range = shard_range(s, pet.machines());
-                members.clear();
-                members.extend(row[range.clone()].iter());
-                if let Some(cold_row) = cold_row {
-                    members.extend(cold_row[range].iter());
-                }
-                shard_cdfs.push(envelope_cdf(&members));
-            }
-        }
-        let cells = (0..pet.machines()).map(|_| MachineCache::default()).collect();
+        Self::from_tables(Arc::new(SpecTables::build(pet, cold, budget)), policy)
+    }
+
+    fn from_tables(tables: Arc<SpecTables>, policy: DropPolicy) -> Self {
+        let machines = tables.machines();
         Self {
-            shared: Arc::new(ScorerShared {
-                policy,
-                budget,
-                cdfs,
-                cold_cdfs,
-                machines: pet.machines(),
-                shard_cdfs,
-                shards,
-            }),
-            pet: Arc::new(pet.clone()),
-            cold_pet: cold.map(|c| Arc::new(c.clone())),
+            tables,
+            policy,
             now: 0,
             threads: 1,
             membership_epoch: None,
-            schedulable: pet.machines(),
-            cells: CellStore::Local(cells),
+            schedulable: machines,
+            cells: CellStore::Local((0..machines).map(|_| MachineCache::default()).collect()),
             hypo_scratch: ConvScratch::new(),
             snapshot: None,
             live_shared: None,
@@ -695,10 +538,17 @@ impl ProbScorer {
         }
     }
 
+    /// The spec-derived tables this scorer scores against (shared with
+    /// every scorer [`ProbScorer::for_spec`] built from the same spec).
+    #[must_use]
+    pub fn tables(&self) -> &Arc<SpecTables> {
+        &self.tables
+    }
+
     /// The drop policy the scorer models.
     #[must_use]
     pub fn policy(&self) -> DropPolicy {
-        self.shared.policy
+        self.policy
     }
 
     /// Starts a new mapping event at `now`. Caches are *not* discarded:
@@ -840,7 +690,7 @@ impl ProbScorer {
                 } else {
                     // Workers still hold the shared cells; start over with
                     // cold caches rather than blocking on the wedged pool.
-                    let machines = self.shared.machines;
+                    let machines = self.tables.machines();
                     self.cells =
                         CellStore::Local((0..machines).map(|_| MachineCache::default()).collect());
                     false
@@ -855,30 +705,29 @@ impl ProbScorer {
     /// [`SlotScore`] scalars.
     #[must_use]
     pub fn analyze(&self, machine: &MachineState, now: Time) -> QueueAnalysis {
-        analyze_queue_cold(machine, self.pets(), now, self.shared.policy, self.shared.budget)
+        analyze_queue_cold(machine, self.pets(), now, self.policy, self.tables.budget())
     }
 
     /// The warm/cold PET pair every queue chain selects its cells from
     /// (cold side absent in the classic model).
     #[must_use]
     pub fn pets(&self) -> PetTables<'_> {
-        PetTables { warm: &self.pet, cold: self.cold_pet.as_deref() }
+        self.tables.pets()
     }
 
     /// The machine's tail availability PMF, maintained incrementally.
     pub fn tail(&mut self, machine: &MachineState) -> &Pmf {
         let i = machine.id().index();
-        let Self { shared, pet, cold_pet, now, cells, tail_buf, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let Self { tables, policy, now, cells, tail_buf, .. } = self;
         match cells {
             CellStore::Local(cells) => {
                 let cell = &mut cells[i];
-                cell.ensure(shared, *now, machine, pets, false);
+                cell.ensure(tables, *policy, *now, machine, false);
                 cell.cache.tail()
             }
             CellStore::Pooled(pool) => {
                 pool.with_cell(i, |cell| {
-                    cell.ensure(shared, *now, machine, pets, false);
+                    cell.ensure(tables, *policy, *now, machine, false);
                     tail_buf.clone_from(cell.cache.tail());
                 });
                 tail_buf
@@ -891,10 +740,9 @@ impl ProbScorer {
     /// permutation phase): in pooled mode a borrow cannot escape the cell
     /// lock, so [`ProbScorer::tail`] + `clone()` would copy twice.
     pub fn tail_into(&mut self, machine: &MachineState, out: &mut Pmf) {
-        let Self { shared, pet, cold_pet, now, cells, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let Self { tables, policy, now, cells, .. } = self;
         cells.with(machine.id().index(), |cell| {
-            cell.ensure(shared, *now, machine, pets, false);
+            cell.ensure(tables, *policy, *now, machine, false);
             out.clone_from(cell.cache.tail());
         });
     }
@@ -905,17 +753,16 @@ impl ProbScorer {
     /// reconvolves only the suffix behind the removed task.
     pub fn slot_scores(&mut self, machine: &MachineState) -> &[SlotScore] {
         let i = machine.id().index();
-        let Self { shared, pet, cold_pet, now, cells, slots_buf, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let Self { tables, policy, now, cells, slots_buf, .. } = self;
         match cells {
             CellStore::Local(cells) => {
                 let cell = &mut cells[i];
-                cell.ensure(shared, *now, machine, pets, true);
+                cell.ensure(tables, *policy, *now, machine, true);
                 &cell.cache.slots
             }
             CellStore::Pooled(pool) => {
                 pool.with_cell(i, |cell| {
-                    cell.ensure(shared, *now, machine, pets, true);
+                    cell.ensure(tables, *policy, *now, machine, true);
                     slots_buf.clone_from(&cell.cache.slots);
                 });
                 slots_buf
@@ -928,16 +775,15 @@ impl ProbScorer {
     /// churn-aware bias that steers phase 2 away from soon-to-leave
     /// machines (see `effective_deadline`).
     pub fn score(&mut self, machine: &MachineState, task: &Task) -> PairScore {
-        let Self { shared, pet, cold_pet, now, cells, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let Self { tables, policy, now, cells, .. } = self;
         let deadline = effective_deadline(task.deadline, machine.announced_departure());
         cells.with(machine.id().index(), |cell| {
-            cell.ensure(shared, *now, machine, pets, false);
+            cell.ensure(tables, *policy, *now, machine, false);
             score_against(
                 cell.cache.tail(),
-                shared.cdf_for(task.type_id, machine),
+                tables.cdf_for(task.type_id, machine),
                 deadline,
-                shared.policy,
+                *policy,
             )
         })
     }
@@ -960,7 +806,7 @@ impl ProbScorer {
         m: MachineId,
         deadline: Time,
     ) -> PairScore {
-        score_against(tail, self.shared.cdf(tt, m), deadline, self.shared.policy)
+        score_against(tail, self.tables.cdf(tt, m), deadline, self.policy)
     }
 
     /// Availability after hypothetically appending a task with execution
@@ -968,9 +814,8 @@ impl ProbScorer {
     /// budget. Storage is drawn from the scorer's pool; hand the result
     /// back via [`ProbScorer::recycle`] to keep the loop allocation-free.
     pub fn append_availability(&mut self, tail: &Pmf, exec: &Pmf, deadline: Time) -> Pmf {
-        let mut step =
-            queue_step_into(tail, exec, deadline, self.shared.policy, &mut self.hypo_scratch);
-        step.availability.compact(self.shared.budget);
+        let mut step = queue_step_into(tail, exec, deadline, self.policy, &mut self.hypo_scratch);
+        step.availability.compact(self.tables.budget());
         if let Some(c) = step.completion {
             self.hypo_scratch.recycle(c);
         }
@@ -1008,28 +853,24 @@ impl ProbScorer {
         want_stats: bool,
         parallel: bool,
     ) {
-        let Self { shared, pet, cold_pet, now, threads, cells, snapshot, .. } = self;
-        let now = *now;
+        let Self { tables, policy, now, threads, cells, snapshot, .. } = self;
+        let (policy, now) = (*policy, *now);
         match cells {
             CellStore::Pooled(pool) if parallel => {
                 let snap = share_snapshot(snapshot, machines);
-                let shared = Arc::clone(shared);
-                let pet = Arc::clone(pet);
-                let cold_pet = cold_pet.clone();
+                let tables = Arc::clone(tables);
                 pool.run(move |i, cell| {
                     let machine = &snap[i];
                     if filter.admits(machine) {
-                        let pets = PetTables { warm: &pet, cold: cold_pet.as_deref() };
-                        cell.ensure(&shared, now, machine, pets, want_stats);
+                        cell.ensure(&tables, policy, now, machine, want_stats);
                     }
                 });
             }
             CellStore::Pooled(pool) => {
-                let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
                 for (i, machine) in machines.iter().enumerate() {
                     if filter.admits(machine) {
                         pool.with_cell(i, |cell| {
-                            cell.ensure(shared, now, machine, pets, want_stats)
+                            cell.ensure(tables, policy, now, machine, want_stats)
                         });
                     }
                 }
@@ -1046,10 +887,9 @@ impl ProbScorer {
                     .filter(|(_, machine)| filter.admits(machine))
                     .map(|(cell, machine)| WarmJob { cell, machine })
                     .collect();
-                let shared: &ScorerShared = shared;
-                let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+                let tables: &SpecTables = tables;
                 parallel_for_each_mut(&mut jobs, threads, |_, job| {
-                    job.cell.ensure(shared, now, job.machine, pets, want_stats);
+                    job.cell.ensure(tables, policy, now, job.machine, want_stats);
                 });
             }
         }
@@ -1068,12 +908,13 @@ impl ProbScorer {
         cols: &mut [Vec<Option<PairScore>>],
         parallel: bool,
     ) {
-        let Self { shared, pet: _, now: _, threads, cells, snapshot, live_shared, .. } = self;
+        let Self { tables, policy, threads, cells, snapshot, live_shared, .. } = self;
+        let policy = *policy;
         match cells {
             CellStore::Pooled(pool) if parallel => {
                 let snap = share_snapshot(snapshot, machines);
                 let live = share_live(live_shared, live_by_shard);
-                let shared = Arc::clone(shared);
+                let tables = Arc::clone(tables);
                 pool.run(move |i, cell| {
                     let machine = &snap[i];
                     let MachineCache { cache, col, .. } = cell;
@@ -1083,7 +924,7 @@ impl ProbScorer {
                         return;
                     }
                     let live = &live[i / TABLE_SHARD_WIDTH];
-                    score_column_scatter(cache.tail(), &shared, machine, live, col);
+                    score_column_scatter(cache.tail(), &tables, policy, machine, live, col);
                 });
                 // Index-ordered merge: swap each worker-filled column into
                 // the table (and recycle the table's old buffer as the
@@ -1101,7 +942,7 @@ impl ProbScorer {
                     }
                     let live = &live_by_shard[i / TABLE_SHARD_WIDTH];
                     pool.with_cell(i, |cell| {
-                        score_column_scatter(cell.cache.tail(), shared, machine, live, col);
+                        score_column_scatter(cell.cache.tail(), tables, policy, machine, live, col);
                     });
                 }
             }
@@ -1118,7 +959,7 @@ impl ProbScorer {
                     .zip(cols.iter_mut())
                     .map(|((cell, machine), col)| ColJob { cell, machine, col })
                     .collect();
-                let shared: &ScorerShared = shared;
+                let tables: &SpecTables = tables;
                 parallel_for_each_mut(&mut jobs, threads, |_, job| {
                     job.col.clear();
                     job.col.resize(rows, None);
@@ -1126,7 +967,14 @@ impl ProbScorer {
                         return;
                     }
                     let live = &live_by_shard[job.machine.id().index() / TABLE_SHARD_WIDTH];
-                    score_column_scatter(job.cell.cache.tail(), shared, job.machine, live, job.col);
+                    score_column_scatter(
+                        job.cell.cache.tail(),
+                        tables,
+                        policy,
+                        job.machine,
+                        live,
+                        job.col,
+                    );
                 });
             }
         }
@@ -1141,10 +989,9 @@ impl ProbScorer {
         if !machine.has_free_slot() {
             return (None, 0);
         }
-        let Self { shared, pet, cold_pet, now, cells, .. } = self;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let Self { tables, policy, now, cells, .. } = self;
         cells.with(machine.id().index(), |cell| {
-            cell.ensure(shared, *now, machine, pets, false);
+            cell.ensure(tables, *policy, *now, machine, false);
             (Some(cell.cache.tail().min_time()), cell.cache.rev)
         })
     }
@@ -1337,7 +1184,7 @@ fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
 
 /// Machine-index range of shard `s` in a `machines`-wide cluster.
 #[inline]
-fn shard_range(s: usize, machines: usize) -> std::ops::Range<usize> {
+pub(crate) fn shard_range(s: usize, machines: usize) -> std::ops::Range<usize> {
     let start = s * TABLE_SHARD_WIDTH;
     start..(start + TABLE_SHARD_WIDTH).min(machines)
 }
@@ -1421,7 +1268,7 @@ impl ScoreTable {
         self.cols.resize_with(machines.len(), Vec::new);
         let free = machines.iter().filter(|m| m.has_free_slot()).count();
         let parallel = free >= PARALLEL_MIN_MACHINES;
-        let shards = scorer.shared.shards;
+        let shards = scorer.tables.shards();
 
         // Fan-out 1: bring every free machine's availability chain up to
         // date (the convolution-heavy part), then gather the bound
@@ -1459,7 +1306,7 @@ impl ScoreTable {
             let mut any = false;
             for (s, lane) in lanes.iter_mut().enumerate() {
                 let Some(earliest) = self.shard_earliest[s] else { continue };
-                let env = scorer.shared.shard_cdf(task.type_id, s);
+                let env = scorer.tables.shard_cdf(task.type_id, s);
                 if robustness_bound(earliest, env, task.deadline) + BOUND_MARGIN >= threshold {
                     *lane = true;
                     any = true;
@@ -1533,7 +1380,7 @@ impl ScoreTable {
         tasks: &[Task],
         skip_below: &dyn Fn(TaskTypeId) -> f64,
     ) -> bool {
-        let shards = scorer.shared.shards;
+        let shards = scorer.tables.shards();
         let last_now = match self.sig {
             Some((last_now, epoch))
                 if !self.stale
@@ -1624,7 +1471,7 @@ impl ScoreTable {
                     continue;
                 }
                 let Some(earliest) = self.shard_earliest[s] else { continue };
-                let env = scorer.shared.shard_cdf(task.type_id, s);
+                let env = scorer.tables.shard_cdf(task.type_id, s);
                 if robustness_bound(earliest, env, task.deadline) + BOUND_MARGIN >= threshold {
                     self.shard_live[row][s] = true;
                     self.scored[row] = true;
@@ -1749,11 +1596,10 @@ impl ScoreTable {
         col.clear();
         col.resize(rows, None);
         let live = &self.live;
-        let ProbScorer { shared, pet, cold_pet, now, cells, .. } = scorer;
-        let pets = PetTables { warm: pet, cold: cold_pet.as_deref() };
+        let ProbScorer { tables, policy, now, cells, .. } = scorer;
         cells.with(m, |cell| {
-            cell.ensure(shared, *now, machine, pets, false);
-            score_column_scatter(cell.cache.tail(), shared, machine, live, col);
+            cell.ensure(tables, *policy, *now, machine, false);
+            score_column_scatter(cell.cache.tail(), tables, *policy, machine, live, col);
         });
     }
 
@@ -1797,7 +1643,7 @@ impl ScoreTable {
         let mut any = false;
         for (s, lane) in lanes.iter_mut().enumerate() {
             let Some(earliest) = self.shard_earliest[s] else { continue };
-            let env = scorer.shared.shard_cdf(task.type_id, s);
+            let env = scorer.tables.shard_cdf(task.type_id, s);
             if robustness_bound(earliest, env, task.deadline) + BOUND_MARGIN >= threshold {
                 *lane = true;
                 any = true;
@@ -1970,10 +1816,11 @@ fn effective_deadline(deadline: Time, cap: Option<Time>) -> Time {
 /// per-pair scoring; the remainder lanes literally call it. The machine's
 /// announced departure caps each deadline (see [`effective_deadline`]),
 /// and under a cold-start model each task's CDF is selected warm-or-cold
-/// from the machine's warm-container set via [`ScorerShared::cdf_for`].
+/// from the machine's warm-container set via [`SpecTables::cdf_for`].
 fn score_column_scatter(
     tail: &Pmf,
-    shared: &ScorerShared,
+    tables: &SpecTables,
+    policy: DropPolicy,
     machine: &MachineState,
     live: &[(usize, Task)],
     col: &mut [Option<PairScore>],
@@ -1982,7 +1829,7 @@ fn score_column_scatter(
     let mut quads = live.chunks_exact(4);
     for quad in &mut quads {
         let tasks = [quad[0].1, quad[1].1, quad[2].1, quad[3].1];
-        let scores = score_quad(tail, shared, machine, &tasks);
+        let scores = score_quad(tail, tables, policy, machine, &tasks);
         for (&(row, _), score) in quad.iter().zip(scores) {
             col[row] = Some(score);
         }
@@ -1990,9 +1837,9 @@ fn score_column_scatter(
     for &(row, task) in quads.remainder() {
         col[row] = Some(score_against(
             tail,
-            shared.cdf_for(task.type_id, machine),
+            tables.cdf_for(task.type_id, machine),
             effective_deadline(task.deadline, cap),
-            shared.policy,
+            policy,
         ));
     }
 }
@@ -2002,16 +1849,17 @@ fn score_column_scatter(
 /// structure to share, so it stays on the scalar path.
 fn score_quad(
     tail: &Pmf,
-    shared: &ScorerShared,
+    tables: &SpecTables,
+    policy: DropPolicy,
     machine: &MachineState,
     quad: &[Task],
 ) -> [PairScore; 4] {
     let cap = machine.announced_departure();
     let cdfs = [
-        shared.cdf_for(quad[0].type_id, machine),
-        shared.cdf_for(quad[1].type_id, machine),
-        shared.cdf_for(quad[2].type_id, machine),
-        shared.cdf_for(quad[3].type_id, machine),
+        tables.cdf_for(quad[0].type_id, machine),
+        tables.cdf_for(quad[1].type_id, machine),
+        tables.cdf_for(quad[2].type_id, machine),
+        tables.cdf_for(quad[3].type_id, machine),
     ];
     let deadlines = [
         effective_deadline(quad[0].deadline, cap),
@@ -2019,8 +1867,8 @@ fn score_quad(
         effective_deadline(quad[2].deadline, cap),
         effective_deadline(quad[3].deadline, cap),
     ];
-    if shared.policy == DropPolicy::None {
-        return [0, 1, 2, 3].map(|l| score_against(tail, cdfs[l], deadlines[l], shared.policy));
+    if policy == DropPolicy::None {
+        return [0, 1, 2, 3].map(|l| score_against(tail, cdfs[l], deadlines[l], policy));
     }
     let (times, masses) = (tail.times(), tail.masses());
     let mut cursors = [
@@ -2996,5 +2844,17 @@ mod tests {
         let score = scorer.score(&machine, &task_with_deadline(50));
         assert_eq!(score.robustness, 0.0);
         assert!(score.expected_completion.is_infinite());
+    }
+
+    #[test]
+    fn for_spec_shares_one_table_build() {
+        let spec =
+            hcsim_workload::specint_system(6, &mut hcsim_stats::SeedSequence::new(3).stream(0));
+        let first = ProbScorer::for_spec(&spec, DropPolicy::All, 16);
+        let second = ProbScorer::for_spec(&spec, DropPolicy::All, 16);
+        assert!(Arc::ptr_eq(first.tables(), second.tables()));
+        let own = ProbScorer::new(&spec.pet, DropPolicy::All, 16);
+        assert!(!Arc::ptr_eq(first.tables(), own.tables()), "only for_spec memoizes");
+        assert_eq!(**first.tables(), **own.tables());
     }
 }

@@ -3,8 +3,8 @@
 
 use hcsim_core::{ProbScorer, Pruner, PruningConfig};
 use hcsim_model::{
-    MachineSpec, PetBuilder, PriceTable, SystemSpec, Task, TaskId, TaskOutcome, TaskTypeId,
-    TaskTypeSpec,
+    MachineSpec, PetBuilder, PriceTable, SpecMemo, SystemSpec, Task, TaskId, TaskOutcome,
+    TaskTypeId, TaskTypeSpec,
 };
 use hcsim_sim::{run_simulation, FirstFitMapper, MapContext, Mapper, SimConfig};
 use hcsim_stats::SeedSequence;
@@ -21,6 +21,7 @@ fn one_machine_spec() -> SystemSpec {
         prices: PriceTable::uniform(1, 1.0),
         queue_capacity: 6,
         coldstart: None,
+        memo: SpecMemo::default(),
     }
     .validated()
 }

@@ -40,7 +40,7 @@ pub use coldstart::ColdStartModel;
 pub use cost::{CostTracker, PriceTable};
 pub use ids::{MachineId, TaskId, TaskTypeId};
 pub use pet::{GroundTruth, PetBuilder, PetMatrix};
-pub use spec::{MachineSpec, SystemSpec, TaskTypeSpec};
+pub use spec::{MachineSpec, SpecMemo, SystemSpec, TaskTypeSpec};
 pub use task::{Task, TaskOutcome, TaskRecord};
 
 /// Re-export of the simulation time type.

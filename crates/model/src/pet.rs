@@ -21,18 +21,34 @@ use crate::{MachineId, TaskTypeId};
 use hcsim_pmf::Pmf;
 use hcsim_stats::{Gamma, Histogram};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The Probabilistic Execution Time matrix: one execution-time [`Pmf`] per
 /// (task type, machine) pair, plus cached expected values for the scalar
 /// heuristics (MM/MSD/MMU never need the full PMF).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The matrix is immutable once built and its cells live behind `Arc`s,
+/// so a clone is O(1) and shares storage with the original. Equality
+/// takes an `Arc::ptr_eq` fast path before comparing cell by cell, which
+/// keeps "is this still the PET these tables were built from?" checks
+/// cheap for clones.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PetMatrix {
     task_types: usize,
     machines: usize,
     /// Row-major: `pmfs[tt * machines + m]`.
-    pmfs: Vec<Pmf>,
+    pmfs: Arc<[Pmf]>,
     /// Cached means, same layout.
-    means: Vec<f64>,
+    means: Arc<[f64]>,
+}
+
+impl PartialEq for PetMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.task_types == other.task_types
+            && self.machines == other.machines
+            && (Arc::ptr_eq(&self.pmfs, &other.pmfs) || self.pmfs == other.pmfs)
+            && (Arc::ptr_eq(&self.means, &other.means) || self.means == other.means)
+    }
 }
 
 impl PetMatrix {
@@ -48,7 +64,7 @@ impl PetMatrix {
         assert!(task_types > 0 && machines > 0, "PET dimensions must be non-zero");
         assert_eq!(pmfs.len(), task_types * machines, "PET cell count mismatch");
         let means = pmfs.iter().map(Pmf::mean).collect();
-        Self { task_types, machines, pmfs, means }
+        Self { task_types, machines, pmfs: pmfs.into(), means }
     }
 
     /// Number of task types (rows).
@@ -487,6 +503,37 @@ mod tests {
     fn ragged_means_panic() {
         let mut rng = SeedSequence::new(6).stream(0);
         let _ = PetBuilder::new().build(&[vec![1.0, 2.0], vec![3.0]], &mut rng);
+    }
+
+    #[test]
+    fn clone_shares_storage() {
+        let (pet, _) = build_small();
+        let copy = pet.clone();
+        assert!(Arc::ptr_eq(&pet.pmfs, &copy.pmfs));
+        assert!(Arc::ptr_eq(&pet.means, &copy.means));
+        assert_eq!(pet, copy);
+    }
+
+    #[test]
+    fn separately_built_equal_pets_compare_equal() {
+        let (a, _) = build_small();
+        let (b, _) = build_small();
+        assert!(!Arc::ptr_eq(&a.pmfs, &b.pmfs), "built twice, stored twice");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn one_impulse_difference_compares_unequal() {
+        let (pet, _) = build_small();
+        let mut pmfs: Vec<Pmf> = pet.pmfs.to_vec();
+        let last = pmfs.len() - 1;
+        let cell = &pmfs[last];
+        let mut points: Vec<(crate::Time, f64)> =
+            cell.times().iter().copied().zip(cell.masses().iter().copied()).collect();
+        points.last_mut().expect("non-empty cell").0 += 1;
+        pmfs[last] = Pmf::from_points(&points).expect("still a valid PMF");
+        let moved = PetMatrix::from_pmfs(pet.task_types(), pet.machines(), pmfs);
+        assert_ne!(pet, moved);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use crate::{ColdStartModel, GroundTruth, PetMatrix, PriceTable};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One machine of the HC system.
 ///
@@ -43,6 +45,89 @@ pub struct SystemSpec {
     /// Serverless cold-start model (spin-up PMFs + keep-alive). `None`
     /// keeps the classic HC semantics where every start is warm.
     pub coldstart: Option<ColdStartModel>,
+    /// Tables derived from this spec (the scorer's prefix CDFs, cold PET
+    /// and shard envelopes), built once and shared by every mapper that
+    /// runs on the spec or any clone of it. Not part of the spec's value:
+    /// never serialized, and `==` and `Debug` read the same whatever it
+    /// holds. Literals start it empty with `SpecMemo::default()`.
+    #[serde(skip)]
+    pub memo: SpecMemo,
+}
+
+/// One memo entry: a caller-chosen key and the value built for it.
+type MemoEntry = (usize, Arc<dyn Any + Send + Sync>);
+
+/// A memo of values derived from a [`SystemSpec`], attached to the spec
+/// itself so that everything running on one spec shares them.
+///
+/// Clones share the memo. It holds one entry per key (the scorer keys
+/// on its compaction budget). Because `SystemSpec`'s fields are public,
+/// an entry can outlive the inputs it was built from, so every lookup
+/// revalidates the entry it finds and rebuilds it on a mismatch. Values
+/// must not hold the spec itself, or the spec and its memo would keep
+/// each other alive.
+#[derive(Clone, Default)]
+pub struct SpecMemo {
+    entries: Arc<Mutex<Vec<MemoEntry>>>,
+}
+
+impl SpecMemo {
+    /// The value memoized under `key`, if it is a `T` that `fresh`
+    /// accepts; otherwise `build()`, stored under `key` in place of any
+    /// older entry. The lock is held while `fresh` and `build` run, so
+    /// concurrent callers on one spec build once and share the result;
+    /// neither closure may use the same memo.
+    pub fn get_or_build<T: Any + Send + Sync>(
+        &self,
+        key: usize,
+        fresh: impl FnOnce(&T) -> bool,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        // A panicking `build` poisons the lock before anything was
+        // stored, and each store is one push or assignment, so the
+        // entries are valid whatever a poisoned lock interrupted.
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = entries.iter().position(|(k, _)| *k == key);
+        if let Some(hit) = slot
+            .and_then(|i| Arc::clone(&entries[i].1).downcast::<T>().ok())
+            .filter(|value| fresh(value))
+        {
+            return hit;
+        }
+        let value = Arc::new(build());
+        let entry: MemoEntry = (key, Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
+        match slot {
+            Some(i) => entries[i] = entry,
+            None => entries.push(entry),
+        }
+        value
+    }
+
+    /// Number of memoized entries (diagnostics/tests).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
+    /// True when nothing has been memoized yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Every memo compares equal: the memo is a cache, not part of a spec's
+/// value.
+impl PartialEq for SpecMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for SpecMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SpecMemo")
+    }
 }
 
 impl SystemSpec {
@@ -100,6 +185,7 @@ mod tests {
             prices: PriceTable::uniform(2, 1.0),
             queue_capacity: 6,
             coldstart: None,
+            memo: SpecMemo::default(),
         }
     }
 
@@ -108,6 +194,29 @@ mod tests {
         let s = spec().validated();
         assert_eq!(s.num_machines(), 2);
         assert_eq!(s.num_task_types(), 2);
+    }
+
+    #[test]
+    fn memo_is_shared_by_clones_and_ignored_by_eq() {
+        let s = spec();
+        let copy = s.clone();
+        let built = s.memo.get_or_build(4, |_: &u32| true, || 7u32);
+        let hit = copy.memo.get_or_build(4, |_: &u32| true, || unreachable!("clone shares memo"));
+        assert!(Arc::ptr_eq(&built, &hit));
+        assert_eq!(s, spec(), "a filled memo does not change the spec's value");
+        assert_eq!(format!("{s:?}"), format!("{:?}", spec()));
+    }
+
+    #[test]
+    fn memo_rebuilds_rejected_entries_in_place() {
+        let memo = SpecMemo::default();
+        let first = memo.get_or_build(1, |_: &u32| true, || 1u32);
+        let other_key = memo.get_or_build(2, |_: &u32| true, || 2u32);
+        let rebuilt = memo.get_or_build(1, |_: &u32| false, || 3u32);
+        assert_eq!((*first, *other_key, *rebuilt), (1, 2, 3));
+        assert_eq!(memo.len(), 2, "a rejected entry is replaced, not duplicated");
+        let hit = memo.get_or_build(1, |v: &u32| *v == 3, || unreachable!("fresh entry"));
+        assert!(Arc::ptr_eq(&rebuilt, &hit));
     }
 
     #[test]

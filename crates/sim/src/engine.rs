@@ -1558,8 +1558,8 @@ mod tests {
     use super::*;
     use crate::mapper::FirstFitMapper;
     use hcsim_model::{
-        ChurnEvent, ColdStartModel, MachineSpec, PetBuilder, PriceTable, TaskId, TaskTypeId,
-        TaskTypeSpec,
+        ChurnEvent, ColdStartModel, MachineSpec, PetBuilder, PriceTable, SpecMemo, TaskId,
+        TaskTypeId, TaskTypeSpec,
     };
     use hcsim_stats::SeedSequence;
 
@@ -1580,6 +1580,7 @@ mod tests {
             prices: PriceTable::new(vec![2.0, 1.0]),
             queue_capacity,
             coldstart: None,
+            memo: SpecMemo::default(),
         }
         .validated()
     }

@@ -421,7 +421,7 @@ impl Mapper for FirstFitMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcsim_model::{PetBuilder, PriceTable, TaskTypeId};
+    use hcsim_model::{PetBuilder, PriceTable, SpecMemo, TaskTypeId};
     use hcsim_stats::SeedSequence;
 
     fn spec() -> SystemSpec {
@@ -438,6 +438,7 @@ mod tests {
             prices: PriceTable::uniform(2, 1.0),
             queue_capacity: 2,
             coldstart: None,
+            memo: SpecMemo::default(),
         }
         .validated()
     }

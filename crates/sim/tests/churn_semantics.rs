@@ -18,8 +18,8 @@
 //!   stale completion event of the interrupted attempt stays a no-op.
 
 use hcsim_model::{
-    ChurnEvent, ChurnKind, ChurnTrace, MachineId, MachineSpec, PetBuilder, PriceTable, SystemSpec,
-    Task, TaskId, TaskOutcome, TaskTypeId, TaskTypeSpec, Time,
+    ChurnEvent, ChurnKind, ChurnTrace, MachineId, MachineSpec, PetBuilder, PriceTable, SpecMemo,
+    SystemSpec, Task, TaskId, TaskOutcome, TaskTypeId, TaskTypeSpec, Time,
 };
 use hcsim_sim::{
     run_simulation_with_churn, FirstFitMapper, MapContext, Mapper, SimConfig, SimReport,
@@ -39,6 +39,7 @@ fn two_machine_spec(queue_capacity: usize) -> SystemSpec {
         prices: PriceTable::new(vec![2.0, 1.0]),
         queue_capacity,
         coldstart: None,
+        memo: SpecMemo::default(),
     }
     .validated()
 }

@@ -29,8 +29,8 @@
 use crate::gen::WorkloadConfig;
 use crate::specint::{affinity, PRICES, SPEED};
 use hcsim_model::{
-    ColdStartModel, MachineSpec, PetBuilder, PriceTable, SystemSpec, Task, TaskId, TaskTypeId,
-    TaskTypeSpec, Time,
+    ColdStartModel, MachineSpec, PetBuilder, PriceTable, SpecMemo, SystemSpec, Task, TaskId,
+    TaskTypeId, TaskTypeSpec, Time,
 };
 use hcsim_stats::Gamma;
 use serde::{Deserialize, Serialize};
@@ -215,6 +215,7 @@ pub fn faas_system<R: rand::Rng>(cfg: &FaasConfig, rng: &mut R) -> SystemSpec {
         prices: PriceTable::new((0..cfg.num_machines).map(|m| PRICES[m % 8]).collect()),
         queue_capacity: cfg.queue_capacity,
         coldstart: Some(ColdStartModel { spinup, truth: spin_truth, keep_alive: cfg.keep_alive }),
+        memo: SpecMemo::default(),
     }
     .validated()
 }

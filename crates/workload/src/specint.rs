@@ -15,7 +15,7 @@
 //! per-machine speed factor × a deterministic affinity perturbation — so
 //! it is reproducible and auditable rather than a wall of magic numbers.
 
-use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SystemSpec, TaskTypeSpec};
+use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SpecMemo, SystemSpec, TaskTypeSpec};
 
 /// The eight machines of §VI-A (paper footnote 1).
 pub const SPECINT_MACHINES: [&str; 8] = [
@@ -122,6 +122,7 @@ pub fn specint_system_with_model_error<R: rand::Rng>(
         prices: PriceTable::new(PRICES.to_vec()),
         queue_capacity,
         coldstart: None,
+        memo: SpecMemo::default(),
     }
     .validated()
 }
@@ -166,6 +167,7 @@ pub fn specint_cluster<R: rand::Rng>(
         prices: PriceTable::new((0..num_machines).map(|m| PRICES[m % 8]).collect()),
         queue_capacity,
         coldstart: None,
+        memo: SpecMemo::default(),
     }
     .validated()
 }

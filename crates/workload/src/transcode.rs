@@ -18,7 +18,7 @@
 //! must learn *which* VM each task type matches, not just which VM is
 //! fastest overall.
 
-use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SystemSpec, TaskTypeSpec};
+use hcsim_model::{MachineSpec, PetBuilder, PriceTable, SpecMemo, SystemSpec, TaskTypeSpec};
 
 /// The four EC2 VM types of §VII-G.
 pub const TRANSCODE_VMS: [&str; 4] = [
@@ -74,6 +74,7 @@ pub fn transcode_system<R: rand::Rng>(queue_capacity: usize, rng: &mut R) -> Sys
         prices: PriceTable::new(PRICES.to_vec()),
         queue_capacity,
         coldstart: None,
+        memo: SpecMemo::default(),
     }
     .validated()
 }

@@ -46,6 +46,7 @@ fn main() {
         prices: PriceTable::new(vec![0.526, 0.75, 0.34]),
         queue_capacity: 4,
         coldstart: None,
+        memo: SpecMemo::default(),
     }
     .validated();
 

@@ -66,8 +66,8 @@ pub mod prelude {
     };
     pub use hcsim_model::{
         ChurnEvent, ChurnKind, ChurnTrace, MachineId, MachineSpec, PetBuilder, PetMatrix,
-        PriceTable, SystemSpec, Task, TaskId, TaskOutcome, TaskRecord, TaskTypeId, TaskTypeSpec,
-        Time,
+        PriceTable, SpecMemo, SystemSpec, Task, TaskId, TaskOutcome, TaskRecord, TaskTypeId,
+        TaskTypeSpec, Time,
     };
     pub use hcsim_pmf::{convolve, queue_step, DropPolicy, Pmf};
     pub use hcsim_sim::{

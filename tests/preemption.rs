@@ -21,6 +21,7 @@ fn spec() -> SystemSpec {
         prices: PriceTable::uniform(1, 1.0),
         queue_capacity: 6,
         coldstart: None,
+        memo: SpecMemo::default(),
     }
     .validated()
 }

@@ -33,6 +33,7 @@ fn build_system(
         prices: PriceTable::uniform(machines, 1.0),
         queue_capacity,
         coldstart: None,
+        memo: SpecMemo::default(),
     }
     .validated()
 }
